@@ -1,14 +1,15 @@
 /**
  * @file
- * Sharded shared-memory plane oracles: banked LLC + channeled DRAM
- * under the parallel stepping engine.
+ * Sharded shared-memory plane: banked LLC + channeled DRAM.
  *
  * Four contracts are pinned here:
  *
- *  1. Per-shard commit order. On any geometry, the parallel engine's
- *     per-shard commit logs must equal the sequential engine's
- *     per-shard projection entry-for-entry — across 4/8/16/32-core
- *     mixes including the Fig. 16-style many-core presets.
+ *  1. Golden results on sharded geometries. Every {1,2,4,8} banks x
+ *     {1,2,4} channels geometry, odd (non-power-of-two) shard counts
+ *     and the 32-core preset each pin a whole-SimResult digest
+ *     (ResultPin in sim_test_util.hh); the 16-core preset is pinned
+ *     in test_multicore_golden.cc. Regenerate with
+ *     ATHENA_GOLDEN_PRINT=1 after an intentional semantic change.
  *
  *  2. Bank-count bit-invariance. With a power-of-two bank count the
  *     interleave is a pure re-labeling of the monolithic set index
@@ -19,8 +20,7 @@
  *     channels adds aggregate bandwidth by design.
  *
  *  3. Exact decode for any shard count: odd / non-power-of-two bank
- *     and channel counts run through the reciprocal-division path
- *     and must still satisfy the seq-vs-par oracle.
+ *     and channel counts run through the reciprocal-division path.
  *
  *  4. Snapshot/resume on sharded geometry, including the named
  *     geometry-mismatch errors a wrong-shaped restore must raise.
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,14 +36,19 @@
 #include "mem/shard.hh"
 #include "sim/simulator.hh"
 #include "sim/system_config.hh"
+#include "sim_test_util.hh"
 #include "snapshot/snapshot.hh"
 #include "trace/workload.hh"
-#include "trace/zoo.hh"
 
 namespace athena
 {
 namespace
 {
+
+using testutil::checkPin;
+using testutil::expectResultsIdentical;
+using testutil::ResultPin;
+using testutil::stridedMix;
 
 std::string
 tmpPath(const std::string &name)
@@ -52,143 +56,46 @@ tmpPath(const std::string &name)
     return testing::TempDir() + "shardord_" + name + ".asnp";
 }
 
-/** An n-core mix striding across the synthetic workload zoo. */
-std::vector<WorkloadSpec>
-stridedMix(unsigned n)
+SimResult
+runMix(const SystemConfig &cfg, const std::vector<WorkloadSpec> &specs,
+       std::uint64_t measured, std::uint64_t warmup)
 {
-    auto workloads = evalWorkloads();
-    std::vector<WorkloadSpec> mix;
-    for (unsigned i = 0; i < n; ++i)
-        mix.push_back(workloads[(i * workloads.size()) / n]);
-    return mix;
-}
-
-void
-expectSlotEqual(const PrefetcherSlotStats &a,
-                const PrefetcherSlotStats &b, const char *ctx,
-                unsigned core, unsigned slot)
-{
-    EXPECT_EQ(a.issued, b.issued)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.used, b.used) << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.usedTimely, b.usedTimely)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.uselessEvictions, b.uselessEvictions)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.fillsFromDram, b.fillsFromDram)
-        << ctx << " c" << core << " pf" << slot;
-    EXPECT_EQ(a.fillsFromDramUnused, b.fillsFromDramUnused)
-        << ctx << " c" << core << " pf" << slot;
-}
-
-/** Full-SimResult equality: every counter, every core, exact. */
-void
-expectResultsIdentical(const SimResult &a, const SimResult &b,
-                       const char *ctx)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size()) << ctx;
-    for (unsigned c = 0; c < a.cores.size(); ++c) {
-        const SimResult::PerCore &x = a.cores[c];
-        const SimResult::PerCore &y = b.cores[c];
-        EXPECT_EQ(x.workload, y.workload) << ctx << " c" << c;
-        EXPECT_EQ(x.instructions, y.instructions) << ctx << " c" << c;
-        EXPECT_EQ(x.cycles, y.cycles) << ctx << " c" << c;
-        EXPECT_EQ(x.completedInstructions, y.completedInstructions)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.streamExhausted, y.streamExhausted)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.ipc, y.ipc) << ctx << " c" << c;
-        EXPECT_EQ(x.loads, y.loads) << ctx << " c" << c;
-        EXPECT_EQ(x.stores, y.stores) << ctx << " c" << c;
-        EXPECT_EQ(x.branchMispredicts, y.branchMispredicts)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.llcMisses, y.llcMisses) << ctx << " c" << c;
-        EXPECT_EQ(x.llcMissLatency, y.llcMissLatency)
-            << ctx << " c" << c;
-        for (unsigned s = 0; s < x.pf.size(); ++s)
-            expectSlotEqual(x.pf[s], y.pf[s], ctx, c, s);
-        EXPECT_EQ(x.ocpPredictions, y.ocpPredictions)
-            << ctx << " c" << c;
-        EXPECT_EQ(x.ocpCorrect, y.ocpCorrect) << ctx << " c" << c;
-        EXPECT_EQ(x.actionHistogram, y.actionHistogram)
-            << ctx << " c" << c;
-    }
-    EXPECT_EQ(a.dram.demandRequests, b.dram.demandRequests) << ctx;
-    EXPECT_EQ(a.dram.prefetchRequests, b.dram.prefetchRequests) << ctx;
-    EXPECT_EQ(a.dram.ocpRequests, b.dram.ocpRequests) << ctx;
-    EXPECT_EQ(a.dram.rowHits, b.dram.rowHits) << ctx;
-    EXPECT_EQ(a.dram.rowMisses, b.dram.rowMisses) << ctx;
-    EXPECT_EQ(a.dram.busBusyCycles, b.dram.busBusyCycles) << ctx;
-    EXPECT_EQ(a.busUtilization, b.busUtilization) << ctx;
-}
-
-/** Per-shard commit-schedule equality with first-divergence info. */
-void
-expectLogsIdentical(const SharedStepLog &want,
-                    const SharedStepLog &got, const char *ctx)
-{
-    ASSERT_EQ(want.shards.size(), got.shards.size())
-        << ctx << ": shard counts differ";
-    bool touched = false;
-    for (std::size_t sh = 0; sh < want.shards.size(); ++sh) {
-        const auto &w = want.shards[sh];
-        const auto &g = got.shards[sh];
-        touched = touched || !w.empty();
-        const std::size_t n = std::min(w.size(), g.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            if (w[i] == g[i])
-                continue;
-            ADD_FAILURE()
-                << ctx << ": shard " << sh
-                << " commit schedules diverge at entry " << i
-                << ": sequential committed core " << w[i].first
-                << " @ cycle " << w[i].second
-                << ", parallel committed core " << g[i].first
-                << " @ cycle " << g[i].second;
-            return;
-        }
-        EXPECT_EQ(w.size(), g.size())
-            << ctx << ": shard " << sh << " schedules agree on the "
-            << "common prefix but have different lengths";
-    }
-    EXPECT_TRUE(touched) << ctx << ": oracle log is empty — the run "
-                         << "never touched shared state";
-}
-
-struct EngineRun
-{
-    SimResult res;
-    SharedStepLog log;
-};
-
-EngineRun
-runEngine(const SystemConfig &cfg,
-          const std::vector<WorkloadSpec> &specs,
-          std::uint64_t measured, std::uint64_t warmup,
-          unsigned step_threads)
-{
-    EngineRun out;
-    RunPlan plan(measured, warmup);
-    plan.stepThreads = step_threads;
     Simulator sim(cfg, specs);
-    sim.setSharedStepLog(&out.log);
-    out.res = sim.run(plan);
-    return out;
+    return sim.run({measured, warmup});
 }
 
-/** Seq-vs-par bit-equality: full result + per-shard commit logs. */
-void
-checkShardedEquivalence(const SystemConfig &cfg,
-                        const std::vector<WorkloadSpec> &specs,
-                        std::uint64_t measured, std::uint64_t warmup,
-                        const char *ctx)
+/** CD1 Athena on @p cores cores with the given shard geometry. */
+SystemConfig
+shardedConfig(unsigned cores, unsigned banks, unsigned channels)
 {
-    EngineRun seq = runEngine(cfg, specs, measured, warmup, 1);
-    EngineRun par =
-        runEngine(cfg, specs, measured, warmup, cfg.cores);
-    expectResultsIdentical(seq.res, par.res, ctx);
-    expectLogsIdentical(seq.log, par.log, ctx);
+    SystemConfig cfg =
+        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
+    cfg.cores = cores;
+    cfg.llcBanks = banks;
+    cfg.dramChannels = channels;
+    return cfg;
 }
+
+// Expected pins: {digest, sum cycles, sum llcMisses, dram demand,
+// dram prefetch, dram ocp}.
+constexpr ResultPin kFourCoreB2Ch2 =
+    {0x30103be449d15a2bull, 456667u, 1125u, 1406u, 6331u, 1137u};
+constexpr ResultPin kEightCoreB4Ch2 =
+    {0x057bc34a72653354ull, 1496913u, 2016u, 1872u, 10546u, 2854u};
+constexpr ResultPin kThirtyTwoCorePreset =
+    {0xb32f021d269b3378ull, 14741251u, 8598u, 4030u, 28801u, 14938u};
+constexpr ResultPin kFourCoreB3Ch3 =
+    {0x68a5ce8e19053a4full, 318839u, 1049u, 1183u, 6015u, 1169u};
+/** Geometry matrix, per channel count {1, 2, 4}; the bank count
+ *  does not move the result (contract 2). */
+constexpr ResultPin kMatrixCh[3] = {
+    {0xbc411a0ffee7180cull, 769062u, 1040u, 739u, 5376u, 1421u},
+    {0x413f1e971ac787b4ull, 470173u, 1040u, 735u, 5376u, 1405u},
+    {0xdf56af7cbc87a5a9ull, 303180u, 1040u, 740u, 5345u, 1423u},
+};
+/** Equals kFourCoreB2Ch2: the bank count does not move results. */
+constexpr ResultPin kFourCoreB4Ch2Resume =
+    {0x30103be449d15a2bull, 456667u, 1125u, 1406u, 6331u, 1137u};
 
 // ----------------------------------------------- decode algebra
 
@@ -235,86 +142,63 @@ TEST(ShardDecode, ExactPartitionForAnyCount)
     }
 }
 
-// --------------------------------------- per-shard commit oracle
+// ------------------------------------------ sharded golden pins
 
 TEST(ShardOrder, FourCoreShardedGeometry)
 {
-    // Explicit small sharded geometry at 4 cores: 2 banks, 2
-    // channels, so every shard class has more than one member.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
-    cfg.llcBanks = 2;
-    cfg.dramChannels = 2;
-    checkShardedEquivalence(cfg, stridedMix(4), 16000, 4000,
-                            "4c_b2ch2");
+    // Small sharded geometry at 4 cores: 2 banks, 2 channels, so
+    // every shard class has more than one member.
+    checkPin("kFourCoreB2Ch2",
+             runMix(shardedConfig(4, 2, 2), stridedMix(4), 16000,
+                    4000),
+             kFourCoreB2Ch2);
 }
 
 TEST(ShardOrder, EightCoreShardedGeometry)
 {
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 8;
-    cfg.llcBanks = 4;
-    cfg.dramChannels = 2;
-    checkShardedEquivalence(cfg, stridedMix(8), 8000, 2000,
-                            "8c_b4ch2");
-}
-
-TEST(ShardOrder, SixteenCorePreset)
-{
-    // The 16-core Fig. 16-style preset (4 banks / 2 channels).
-    SystemConfig cfg = makeManyCoreConfig(16);
-    ASSERT_GE(cfg.llcBanks, 2u);
-    ASSERT_GE(cfg.dramChannels, 2u);
-    checkShardedEquivalence(cfg, stridedMix(16), 5000, 1200,
-                            "16c_preset");
+    checkPin("kEightCoreB4Ch2",
+             runMix(shardedConfig(8, 4, 2), stridedMix(8), 8000, 2000),
+             kEightCoreB4Ch2);
 }
 
 TEST(ShardOrder, ThirtyTwoCorePreset)
 {
     // The 32-core preset (8 banks / 4 channels). Small budget: this
-    // is the widest engine configuration in the test tree.
+    // is the widest configuration in the test tree.
     SystemConfig cfg = makeManyCoreConfig(32);
     ASSERT_GE(cfg.llcBanks, 2u);
     ASSERT_GE(cfg.dramChannels, 2u);
-    checkShardedEquivalence(cfg, stridedMix(32), 3000, 800,
-                            "32c_preset");
+    checkPin("kThirtyTwoCorePreset",
+             runMix(cfg, stridedMix(32), 3000, 800),
+             kThirtyTwoCorePreset);
 }
 
 TEST(ShardOrder, OddShardCountsDivisionDecode)
 {
     // Non-pow2 bank and channel counts exercise the reciprocal
-    // division decode on every shared access. The seq-vs-par oracle
-    // must hold there exactly as on the shift/mask path.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
-    cfg.llcBanks = 3;
-    cfg.dramChannels = 3;
-    checkShardedEquivalence(cfg, stridedMix(4), 12000, 3000,
-                            "4c_b3ch3");
+    // division decode on every shared access.
+    checkPin("kFourCoreB3Ch3",
+             runMix(shardedConfig(4, 3, 3), stridedMix(4), 12000,
+                    3000),
+             kFourCoreB3Ch3);
 }
 
-TEST(ShardOrder, GeometryMatrixSeqParEquality)
+TEST(ShardOrder, GeometryMatrixPinned)
 {
-    // Every geometry in {1,2,4,8} banks x {1,2,4} channels must
-    // satisfy the oracle. (Results differ ACROSS channel counts —
-    // bandwidth is per channel — but seq and par must agree within
-    // each geometry.)
-    SystemConfig base =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    base.cores = 4;
+    // Every geometry in {1,2,4,8} banks x {1,2,4} channels. Results
+    // differ across channel counts (bandwidth is per channel) but
+    // not across pow2 bank counts, so one pin per channel count.
     std::vector<WorkloadSpec> mix = stridedMix(4);
-    for (unsigned banks : {1u, 2u, 4u, 8u}) {
-        for (unsigned channels : {1u, 2u, 4u}) {
-            SystemConfig cfg = base;
-            cfg.llcBanks = banks;
-            cfg.dramChannels = channels;
-            std::string ctx = "b" + std::to_string(banks) + "ch" +
-                              std::to_string(channels);
-            checkShardedEquivalence(cfg, mix, 6000, 1500,
-                                    ctx.c_str());
+    const unsigned channels[] = {1u, 2u, 4u};
+    for (unsigned i = 0; i < 3; ++i) {
+        for (unsigned banks : {1u, 2u, 4u, 8u}) {
+            std::string ctx = "kMatrixCh[" + std::to_string(i) +
+                              "] b" + std::to_string(banks) + "ch" +
+                              std::to_string(channels[i]);
+            checkPin(ctx.c_str(),
+                     runMix(shardedConfig(4, banks, channels[i]), mix,
+                            6000, 1500),
+                     kMatrixCh[i]);
         }
     }
 }
@@ -327,23 +211,13 @@ TEST(ShardOrder, Pow2BankCountIsBitInvariant)
     // index without changing any lookup/victim decision, so the
     // entire SimResult is invariant in the bank count. Channels are
     // held fixed (channel count changes aggregate bandwidth).
-    SystemConfig base =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    base.cores = 4;
-    base.dramChannels = 2;
     std::vector<WorkloadSpec> mix = stridedMix(4);
-
-    base.llcBanks = 1;
-    EngineRun want = runEngine(base, mix, 16000, 4000, 1);
+    SimResult want = runMix(shardedConfig(4, 1, 2), mix, 16000, 4000);
     for (unsigned banks : {2u, 4u, 8u}) {
-        SystemConfig cfg = base;
-        cfg.llcBanks = banks;
         std::string ctx = "banks=" + std::to_string(banks);
-        EngineRun seq = runEngine(cfg, mix, 16000, 4000, 1);
-        expectResultsIdentical(want.res, seq.res, ctx.c_str());
-        EngineRun par = runEngine(cfg, mix, 16000, 4000, cfg.cores);
-        expectResultsIdentical(want.res, par.res,
-                               (ctx + "_par").c_str());
+        expectResultsIdentical(
+            want, runMix(shardedConfig(4, banks, 2), mix, 16000, 4000),
+            ctx.c_str());
     }
 }
 
@@ -351,33 +225,27 @@ TEST(ShardOrder, Pow2BankCountIsBitInvariant)
 
 TEST(ShardOrder, SnapshotResumeOnShardedGeometry)
 {
-    // Snapshot-at-warmup under the parallel engine on a sharded
-    // geometry, then a parallel resume: both must equal the
-    // sequential straight-through run.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 4;
-    cfg.llcBanks = 4;
-    cfg.dramChannels = 2;
+    // Snapshot-at-warmup on a sharded geometry, then a resume: the
+    // straight run, the snapshotting run and the resume all land on
+    // one pin.
+    SystemConfig cfg = shardedConfig(4, 4, 2);
     std::vector<WorkloadSpec> mix = stridedMix(4);
     constexpr std::uint64_t kMeasured = 16000;
     constexpr std::uint64_t kWarm = 4000;
 
-    EngineRun want = runEngine(cfg, mix, kMeasured, kWarm, 1);
+    checkPin("kFourCoreB4Ch2Resume",
+             runMix(cfg, mix, kMeasured, kWarm), kFourCoreB4Ch2Resume);
 
     const std::string path = tmpPath("b4ch2");
     RunPlan snap_plan(kMeasured, kWarm);
-    snap_plan.stepThreads = cfg.cores;
     snap_plan.snapshotAfterWarmup = path;
     Simulator source(cfg, mix);
-    SimResult via_snapshot = source.run(snap_plan);
-    expectResultsIdentical(want.res, via_snapshot, "snap_source");
+    checkPin("kFourCoreB4Ch2Resume(source)", source.run(snap_plan),
+             kFourCoreB4Ch2Resume);
 
-    RunPlan resume_plan(kMeasured, kWarm);
-    resume_plan.stepThreads = cfg.cores;
     Simulator resumed(cfg, mix, path);
-    SimResult got = resumed.run(resume_plan);
-    expectResultsIdentical(want.res, got, "snap_resume");
+    checkPin("kFourCoreB4Ch2Resume(resumed)",
+             resumed.run({kMeasured, kWarm}), kFourCoreB4Ch2Resume);
     std::remove(path.c_str());
 }
 
@@ -386,16 +254,11 @@ TEST(ShardOrder, GeometryMismatchRestoreIsNamedError)
     // Restoring a snapshot into a configuration with a different
     // shard geometry must fail with an error that names the
     // mismatched dimension, not a generic config-key complaint.
-    SystemConfig cfg =
-        makeDesignConfig(CacheDesign::kCd1, PolicyKind::kAthena);
-    cfg.cores = 2;
-    cfg.llcBanks = 2;
-    cfg.dramChannels = 2;
+    SystemConfig cfg = shardedConfig(2, 2, 2);
     std::vector<WorkloadSpec> mix = stridedMix(2);
 
     const std::string path = tmpPath("geom_mismatch");
     RunPlan plan(4000, 1000);
-    plan.stepThreads = 1;
     plan.snapshotAfterWarmup = path;
     Simulator source(cfg, mix);
     source.run(plan);
