@@ -13,7 +13,7 @@
  * (Athena agent in the loop, including a short-epoch policy-heavy
  * case and a two-prefetcher CD3 case), and multi-core mixes — 4-core
  * synthetic, the 8-core Fig-16 shape, a 4-core trace-replay mix
- * (the multi-core stepping engines plus shared LLC/DRAM contention),
+ * (the multi-core stepping engine plus shared LLC/DRAM contention),
  * and the 16/32-core sharded presets (banked LLC + channeled DRAM
  * via makeManyCoreConfig — the scaled shared-memory plane).
  *
@@ -27,13 +27,6 @@
  *    A B A B ... — so slow drift of the host (thermal, co-tenants)
  *    cancels out of the comparison. The JSON gains an "ab" block
  *    with the baseline rate and the measured speedup.
- *  - Parallel stepping A/B: every multi-core case additionally runs
- *    sequential-vs-parallel (RunPlan::stepThreads 1 vs cores) and
- *    the JSON gains a "parallel_stepping" block with per-case
- *    seq/par wall times and the speedup. Only meaningful on
- *    multi-core hosts; a 1-CPU box reports <= 1x by construction
- *    (results are bit-identical either way — see
- *    tests/test_parallel_step.cc).
  *  - Inference-batch A/B: the policy-heavy epoch500 cases (where
  *    the Athena/POPET decision loop dominates) additionally run
  *    batched-vs-scalar inference (SystemConfig::batchedInference
@@ -70,7 +63,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/simd.hh"
@@ -120,18 +112,12 @@ struct CaseResult
     double ipc = 0.0;
 };
 
-/**
- * Run one case. @p step_threads pins the stepping engine for the
- * sequential-vs-parallel A/B (0 = the auto default users get —
- * parallel for multi-core cases when the host is wide enough).
- */
+/** Run one case. */
 CaseResult
-runCase(const Case &c, std::uint64_t instr, std::uint64_t warmup,
-        unsigned step_threads = 0)
+runCase(const Case &c, std::uint64_t instr, std::uint64_t warmup)
 {
     Simulator sim(c.cfg, c.specs);
     RunPlan plan(instr / c.instrDivisor, warmup / c.instrDivisor);
-    plan.stepThreads = step_threads;
     auto t0 = std::chrono::steady_clock::now();
     SimResult res = sim.run(plan);
     auto t1 = std::chrono::steady_clock::now();
@@ -331,8 +317,7 @@ main(int argc, char **argv)
         cfg.bandwidthGBps = 1.6;
         cases.push_back({"mc4_cd3_naive_lowbw_mix", cfg, mix4, 4});
     }
-    // 8-core Fig-16-style case: the configuration the parallel
-    // stepping engine exists for — eight private hierarchies
+    // 8-core Fig-16-style case: eight private hierarchies
     // contending on the shared LLC/DRAM under the full Athena
     // learning stack.
     {
@@ -343,8 +328,8 @@ main(int argc, char **argv)
     }
     // 16/32-core sharded presets: the scaled shared-memory plane
     // (banked LLC + channeled DRAM). These are the configurations
-    // the sharding refactor exists for — wide parallel stepping
-    // with per-bank/per-channel shared state. Per-core budget
+    // the sharding refactor exists for — many cores contending on
+    // per-bank/per-channel shared state. Per-core budget
     // shrinks with the core count so total simulated work stays
     // comparable to the rest of the matrix.
     {
@@ -464,48 +449,6 @@ main(int argc, char **argv)
         if (!ab_baseline.empty())
             baseline_new_schema |= runBaselineOnce(
                 ab_baseline, instr, warmup, baseline_cases);
-    }
-
-    // Sequential-vs-parallel stepping A/B over the multi-core
-    // cases: each engine is pinned explicitly (stepThreads 1 vs
-    // cores) and gets the same best-of-repeats treatment, so the
-    // reported speedup is engine-vs-engine on this host rather
-    // than engine-vs-committed-baseline across hosts. Both engines
-    // produce bit-identical results (tests/test_parallel_step.cc);
-    // only wall clock differs. On hosts narrower than the core
-    // count the parallel engine time-slices and the "speedup" is
-    // honestly below 1 — the number is still reported rather than
-    // suppressed.
-    struct ParAb
-    {
-        std::string name;
-        unsigned cores = 1;
-        double seqWall = 0.0;
-        double parWall = 0.0;
-    };
-    std::vector<ParAb> par_ab;
-    for (const Case &c : cases) {
-        if (c.cfg.cores < 2)
-            continue;
-        ParAb row;
-        row.name = c.name;
-        row.cores = c.cfg.cores;
-        for (unsigned r = 0; r < repeats; ++r) {
-            double seq = runCase(c, instr, warmup, 1).wallSeconds;
-            double par =
-                runCase(c, instr, warmup, c.cfg.cores).wallSeconds;
-            if (r == 0 || seq < row.seqWall)
-                row.seqWall = seq;
-            if (r == 0 || par < row.parWall)
-                row.parWall = par;
-        }
-        std::cout << "parallel A/B " << row.name << ": seq "
-                  << row.seqWall << " s, par " << row.parWall
-                  << " s -> "
-                  << (row.parWall > 0.0 ? row.seqWall / row.parWall
-                                        : 0.0)
-                  << "x\n";
-        par_ab.push_back(row);
     }
 
     // Batched-vs-scalar inference A/B over the policy-heavy
@@ -734,22 +677,6 @@ main(int argc, char **argv)
     // Field names chosen to not collide with the "accesses" /
     // "wall_seconds" keys the line-oriented A/B baseline parser
     // scans for, so this binary stays usable as a baseline.
-    json << "  \"parallel_stepping\": {\"hw_concurrency\": "
-         << std::thread::hardware_concurrency()
-         << ", \"cases\": [\n";
-    for (std::size_t i = 0; i < par_ab.size(); ++i) {
-        const ParAb &p = par_ab[i];
-        json << "    {\"name\": \"" << p.name << "\", "
-             << "\"cores\": " << p.cores << ", "
-             << "\"seq_wall_s\": " << p.seqWall << ", "
-             << "\"par_wall_s\": " << p.parWall << ", "
-             << "\"speedup\": "
-             << (p.parWall > 0.0 ? p.seqWall / p.parWall : 0.0)
-             << "}" << (i + 1 < par_ab.size() ? "," : "") << "\n";
-    }
-    json << "  ]},\n";
-    // Same naming discipline as parallel_stepping: no "accesses" /
-    // "wall_seconds" keys, so the baseline parser ignores the rows.
     json << "  \"inference_batch\": {\"cases\": [\n";
     for (std::size_t i = 0; i < inf_ab.size(); ++i) {
         const InfAb &p = inf_ab[i];

@@ -275,6 +275,26 @@ CoreModel::stepN(std::uint64_t n)
     return n - remaining;
 }
 
+std::uint64_t
+CoreModel::stepBelow(std::uint64_t n, Cycle limit_cycle,
+                     bool tie_continues)
+{
+    // The last frontier that still orders before the limit key.
+    if (!tie_continues && limit_cycle == 0)
+        return 0;
+    const Cycle last = tie_continues ? limit_cycle : limit_cycle - 1;
+    HotState h = loadHot();
+    std::uint64_t done = 0;
+    while (done < n && h.frontier <= last) {
+        if (batchPos == batchLen && !refillBatch())
+            break; // exhausted stream: report the short count
+        execute(batchBuf[batchPos++], h);
+        ++done;
+    }
+    storeHot(h);
+    return done;
+}
+
 void
 CoreModel::reset()
 {

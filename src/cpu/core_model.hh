@@ -19,9 +19,10 @@
  * into a contiguous buffer, and the ROB ring and MSHR slots live in
  * one contiguous arena, so the per-instruction loop touches three
  * flat arrays instead of bouncing between objects. step() executes
- * one instruction from the buffer (the multi-core interleaving
- * path); stepN() drains whole buffer spans in a tight loop (the
- * single-core path). Both orderings are bit-identical.
+ * one instruction from the buffer; stepN() drains whole buffer
+ * spans in a tight loop (the single-core path); stepBelow() runs a
+ * burst bounded by a scheduling key (the multi-core path). All
+ * three are bit-identical to repeated step() calls.
  *
  * Streams may be finite: a short nextBatch() return is the
  * generator's end-of-stream signal (never a refill hiccup — see the
@@ -103,7 +104,7 @@ struct CoreCounters
 /**
  * The core model. Instructions come from the workload generator in
  * batches; execute them one at a time via step() or in bulk via
- * stepN().
+ * stepN() / stepBelow().
  */
 class CoreModel
 {
@@ -131,6 +132,21 @@ class CoreModel
      * stream ended (after which finished() is true).
      */
     std::uint64_t stepN(std::uint64_t n);
+
+    /**
+     * Burst stepping for the multi-core scheduler: execute up to
+     * @p n instructions while this core's (frontier, index) key
+     * stays lexicographically below the limit key (@p limit_cycle,
+     * limit index). The core does not know its index, so the index
+     * comparison arrives folded into @p tie_continues: true when
+     * this core's index is below the limit's, i.e. a frontier equal
+     * to @p limit_cycle still orders first. The key is tested before
+     * each instruction; the return is the count executed, identical
+     * in effect to that many step() calls. It is short when the key
+     * reaches the limit or the stream ends (then finished()).
+     */
+    std::uint64_t stepBelow(std::uint64_t n, Cycle limit_cycle,
+                            bool tie_continues);
 
     /**
      * Terminal retired-all state: the workload stream ended and

@@ -16,7 +16,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "prefetch/pythia.hh"
 #include "prefetch/sms.hh"
 #include "sim/step_picker.hh"
-#include "sim/thread_pool.hh"
 #include "snapshot/snapshot.hh"
 
 namespace athena
@@ -329,11 +327,15 @@ Simulator::Simulator(const SystemConfig &config,
             "workload count must equal core count");
     }
 
+    // Shared-plane geometry bound: far above any preset (the
+    // 32-core one has 12 shards), low enough that a hostile config
+    // cannot shred the LLC into thousands of slivers.
+    constexpr unsigned kMaxShards = 64;
     if (cfg.llcBanks < 1 || cfg.dramChannels < 1 ||
-        cfg.llcBanks + cfg.dramChannels > SharedShard::kMaxShards) {
+        cfg.llcBanks + cfg.dramChannels > kMaxShards) {
         throw std::invalid_argument(
             "llcBanks and dramChannels must each be >= 1 and sum "
-            "to at most " + std::to_string(SharedShard::kMaxShards));
+            "to at most " + std::to_string(kMaxShards));
     }
 
     llc = std::make_unique<BankedLlc>(llcParams(cfg.cores),
@@ -493,12 +495,8 @@ Simulator::triggerLevel(unsigned core, CacheLevel level,
     // whole window drains in one batched call below. Outside
     // trigger windows the queue is empty (demand/OCP/store traffic
     // goes through the scalar serve() shim), so the global request
-    // order is exactly the scalar issue order. Under the parallel
-    // engine the queue may only be inspected while this core holds
-    // the shared-state turn (another core's window owns it
-    // otherwise).
-    assert((par && !par->grantedThisStep(core)) ||
-           dram->pendingRequests() == 0);
+    // order is exactly the scalar issue order.
+    assert(dram->pendingRequests() == 0);
     PrefetchFillBatch batch;
     // Candidate buffer on the stack of the access path: no heap
     // traffic, and the tag-dispatched observe() below is a direct
@@ -592,10 +590,7 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
         if (cc.l2.touch(l2ref)) {
             ready = cycle + latL2;
         } else {
-            // First shared-resource touch on this path: the LLC
-            // bank owning the line.
             const BankedRef llcref = llc->ref(line);
-            sharedTurn(core, llcref.bank);
             if (llc->touch(llcref)) {
                 ready = cycle + latLlc;
             } else {
@@ -611,7 +606,6 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
                     drainPrefetchFills(cc, batch);
                 patch.ticket = dram->enqueue(
                     cycle + latLlc, line, AccessType::kPrefetch);
-                sharedTurn(core, dramShard(patch.ticket.channel));
                 ready = kPendingReady;
                 from_dram = true;
                 CacheEviction ev =
@@ -660,9 +654,6 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
         }
         const BankedRef llcref = llc->ref(line);
         PrefetchFillBatch::Entry patch{};
-        // First shared-resource touch on the L2C prefetch path:
-        // the LLC bank owning the line.
-        sharedTurn(core, llcref.bank);
         if (llc->touch(llcref)) {
             ready = cycle + latLlc;
         } else {
@@ -672,7 +663,6 @@ Simulator::issuePrefetch(unsigned core, unsigned slot,
                 drainPrefetchFills(cc, batch);
             patch.ticket = dram->enqueue(cycle + latLlc, line,
                                          AccessType::kPrefetch);
-            sharedTurn(core, dramShard(patch.ticket.channel));
             ready = kPendingReady;
             from_dram = true;
             CacheEviction ev = llc->fill(llcref, cycle, ready, true,
@@ -869,10 +859,6 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
                 cc.l1.fill(l1ref, issue, completion, false);
             } else {
                 const BankedRef llcref = llc->ref(line);
-                // Leaving the private L1/L2 hierarchy: the LLC
-                // bank lookup (and any DRAM service behind it)
-                // must commit in the sequential schedule's order.
-                sharedTurn(core, llcref.bank);
                 CacheLookup llcres = llc->access(llcref, issue);
                 if (llcres.hit) {
                     dispatchPrefetchFeedbackUsed(core, llcres,
@@ -887,8 +873,6 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
                         ++cc.window.pollutionMisses;
 
                     Cycle done;
-                    sharedTurn(core,
-                               dramShard(dram->channelOf(line)));
                     if (ocp_pred) {
                         // Hermes path: the speculative request
                         // reaches the controller after the OCP
@@ -923,10 +907,7 @@ Simulator::doLoad(unsigned core, std::uint64_t pc, Addr addr,
     }
 
     // A false-positive OCP prediction wasted one DRAM transfer.
-    // Reachable without a prior LLC touch (on-chip hit), so it
-    // takes the shared-state turn itself.
     if (ocp_pred && !went_offchip) {
-        sharedTurn(core, dramShard(dram->channelOf(line)));
         dram->serve(issue + cfg.ocpIssueLatency, line,
                     AccessType::kOcp);
     }
@@ -979,8 +960,6 @@ Simulator::doStore(unsigned core, std::uint64_t pc, Addr addr,
         return;
     }
     const BankedRef llcref = llc->ref(line);
-    // Leaving the private hierarchy (store walk).
-    sharedTurn(core, llcref.bank);
     CacheLookup llcres = llc->access(llcref, cycle);
     if (llcres.hit) {
         dispatchPrefetchFeedbackUsed(core, llcres, cycle);
@@ -990,7 +969,6 @@ Simulator::doStore(unsigned core, std::uint64_t pc, Addr addr,
     }
     // Write-allocate from DRAM; off the critical path but the
     // traffic is real.
-    sharedTurn(core, dramShard(dram->channelOf(line)));
     Cycle done =
         dram->serve(cycle + latLlc, line, AccessType::kDemandStore);
     CacheEviction ev = llc->fill(llcref, cycle, done, false);
@@ -1023,9 +1001,7 @@ Simulator::maybeEndEpoch(unsigned core)
         cs.branchMispredicts - cc.epochStartCounters.branchMispredicts;
 
     // The epoch summary samples the aggregate DRAM counters across
-    // every channel; that read must see exactly the traffic the
-    // sequential schedule ordered before this step, on all of them.
-    sharedTurnAllDram(core);
+    // every channel.
     const DramCounters &life = dram->lifetime();
     stats.dramDemand = life.demandRequests - cc.lastDram.demandRequests;
     stats.dramPrefetch =
@@ -1097,10 +1073,6 @@ Simulator::run(const RunPlan &plan)
 
     bool want_snapshot = !plan.snapshotAfterWarmup.empty();
 
-    auto check_warmup = [&](unsigned c) {
-        checkWarmup(c, warmup_per_core);
-    };
-
     // The warmup-snapshot cut: the first inter-step point at which
     // every core has either crossed the warmup boundary or
     // exhausted its stream. Any inter-step point would restore
@@ -1137,30 +1109,29 @@ Simulator::run(const RunPlan &plan)
             total, std::max<std::uint64_t>(warmup_per_core, 1));
         if (cc.core->retired() < boundary) {
             cc.core->stepN(boundary - cc.core->retired());
-            check_warmup(0);
+            checkWarmup(0, warmup_per_core);
         }
         maybe_snapshot();
         if (!cc.core->finished() && cc.core->retired() < total)
             cc.core->stepN(total - cc.core->retired());
     } else {
-        // Size the per-shard oracle before either engine appends
-        // (the parallel stepper sizes it too; this covers the
-        // sequential engine and keeps both identically shaped).
-        if (stepLog)
-            stepLog->shards.resize(totalShards());
-
-        const bool use_par = useParallelEngine(plan);
-
-        // Sequential engine: step the globally least-advanced
-        // unfinished core to keep the cores loosely synchronized so
-        // shared-resource contention is meaningful. The picker is
-        // an indexed min-heap: O(log cores) per step instead of an
-        // O(cores) rescan, with deterministic lowest-index-first
-        // ties. The inner loop keeps stepping the picked core while
-        // it would be re-picked anyway (stillTop), so batch-pulled
-        // cores pay one heap sift per *burst* rather than per
-        // instruction — the stepping order is bit-identical to the
-        // one-instruction-per-pick schedule.
+        // Step the globally least-advanced unfinished core to keep
+        // the cores loosely synchronized so shared-resource
+        // contention is meaningful. The picker is an indexed
+        // min-heap over (frontier, core index) keys with
+        // deterministic lowest-index-first ties. The picked core
+        // runs one burst up to the runner-up's key (stepBelow), so
+        // the heap is touched once per burst rather than once per
+        // instruction, and the stepping order is bit-identical to
+        // the one-instruction-per-pick schedule.
+        //
+        // Bursts are also capped at the core's warmup boundary
+        // until it latches: the measurement start is sampled right
+        // after the step that crosses it, and the warmup snapshot
+        // is cut right after the step that leaves every core past
+        // warmup or exhausted. Both can then only change state at a
+        // burst's end, where checkWarmup and maybe_snapshot run.
+        //
         // A core retires from the pick set either at its
         // instruction budget or the moment its finite stream
         // exhausts (finished()); the survivors keep the exact
@@ -1170,85 +1141,40 @@ Simulator::run(const RunPlan &plan)
         //
         // Resume: rebuilding the picker from the restored per-core
         // frontiers reproduces the original continuation exactly.
-        // The effective schedule is argmin over (now, core index) —
-        // stillTop's burst batching produces "exactly the order
-        // advance()+top() per instruction would" — so the heap
-        // holding every unfinished core at its current frontier is
-        // the same scheduler state the straight-through run was in
-        // at the cut. Cores that had already left the pick set
-        // (stream exhausted, or budget reached under this plan) are
-        // finished out before the loop starts.
-        //
-        // Under the parallel engine this loop still runs the
-        // pre-snapshot span: the warmup snapshot must be cut at the
-        // exact sequential inter-step boundary, which concurrently
-        // running cores would overshoot. until_snapshot makes it
-        // return at that boundary (any inter-step point resumes
-        // bit-identically — the schedule is a pure function of the
-        // component state), handing the remainder to the parallel
-        // engine.
-        auto seq_engine = [&](bool until_snapshot) {
-            StepPicker picker(cfg.cores);
-            for (unsigned c = 0; c < cfg.cores; ++c)
-                picker.advance(c, coreCtxs[c]->core->now());
-            for (unsigned c = 0; c < cfg.cores; ++c) {
-                CoreCtx &cc = *coreCtxs[c];
-                if (cc.core->finished() ||
-                    cc.core->retired() >= total) {
-                    picker.finish(c);
-                }
+        // The schedule is argmin over (now, core index), so the
+        // heap holding every unfinished core at its current
+        // frontier is the same scheduler state the straight-through
+        // run was in at the cut. Cores that had already left the
+        // pick set (stream exhausted, or budget reached under this
+        // plan) are finished out before the loop starts.
+        StepPicker picker(cfg.cores);
+        for (unsigned c = 0; c < cfg.cores; ++c)
+            picker.advance(c, coreCtxs[c]->core->now());
+        for (unsigned c = 0; c < cfg.cores; ++c) {
+            const CoreModel &core = *coreCtxs[c]->core;
+            if (core.finished() || core.retired() >= total)
+                picker.finish(c);
+        }
+        while (!picker.empty()) {
+            const unsigned pick = picker.top();
+            CoreModel &core = *coreCtxs[pick]->core;
+            std::uint64_t cap = total;
+            if (!measure.started[pick]) {
+                cap = std::min(cap, std::max(warmup_per_core,
+                                             core.retired() + 1));
             }
-            const bool logging = stepLog != nullptr;
-            while (!picker.empty()) {
-                unsigned pick = picker.top();
-                CoreCtx &cc = *coreCtxs[pick];
-                for (;;) {
-                    if (cc.core->finished()) {
-                        picker.finish(pick);
-                        maybe_snapshot();
-                        break;
-                    }
-                    if (logging) {
-                        // Open the oracle record for this step:
-                        // its key is the pre-step frontier, the
-                        // same (now, core) pair the picker ordered
-                        // by and the parallel engine's bound. The
-                        // step stays open across all its shared
-                        // touches; each shard logs at most once.
-                        seqLogKey = cc.core->now();
-                        seqLogOpen = true;
-                        seqLoggedMask = 0;
-                    }
-                    cc.core->step();
-                    check_warmup(pick);
-                    seqLogOpen = false;
-                    maybe_snapshot();
-                    if (until_snapshot && !want_snapshot)
-                        return;
-                    if (cc.core->retired() >= total) {
-                        picker.finish(pick);
-                        break;
-                    }
-                    if (!picker.stillTop(pick, cc.core->now())) {
-                        picker.advance(pick, cc.core->now());
-                        break;
-                    }
-                }
-                if (until_snapshot && !want_snapshot)
-                    return;
-            }
-            // All streams may exhaust before any warmup crossing;
-            // the snapshot request is still honored at the
-            // terminal state.
+            const StepPicker::Key limit = picker.runnerUp();
+            core.stepBelow(cap - core.retired(), limit.cycle,
+                           pick < limit.core);
+            checkWarmup(pick, warmup_per_core);
             maybe_snapshot();
-        };
-
-        if (!use_par)
-            seq_engine(false);
-        else if (want_snapshot)
-            seq_engine(true);
-        if (use_par)
-            runMultiParallel(total, warmup_per_core);
+            if (core.finished() || core.retired() >= total)
+                picker.finish(pick);
+            else if (!picker.stillTop(pick, core.now()))
+                picker.advance(pick, core.now());
+        }
+        // All streams may exhaust before any warmup crossing; the
+        // snapshot request is still honored at the terminal state.
         maybe_snapshot();
     }
 
@@ -1314,8 +1240,6 @@ Simulator::checkWarmup(unsigned c, std::uint64_t warmup_per_core)
     CoreCtx &cc = *coreCtxs[c];
     if (measure.started[c] || cc.core->retired() < warmup_per_core)
         return;
-    // The per-core start sample touches only this core's state and
-    // needs no ordering.
     measure.started[c] = 1;
     measure.starts[c] = {cc.core->retired(), cc.core->now(),
                          cc.core->counters().loads,
@@ -1323,106 +1247,13 @@ Simulator::checkWarmup(unsigned c, std::uint64_t warmup_per_core)
                          cc.core->counters().branchMispredicts,
                          cc.llcMissesTotal,
                          cc.llcMissLatencyTotal};
-    // The global measurement anchor (DRAM counters, wall-clock
-    // frontier) is shared state: sample it in commit order so the
-    // first core to cross warmup — first in the *schedule*, not in
-    // wall-clock arrival — anchors the window, exactly as under
-    // the sequential engine. The sample reads every channel's
-    // counters.
-    sharedTurnAllDram(c);
+    // The first core to cross warmup anchors the global measurement
+    // window (DRAM counters, wall-clock frontier).
     if (!measure.anyStarted) {
         measure.anyStarted = true;
         measure.dramAtStart = dram->lifetime();
         measure.maxNowAtStart = cc.core->now();
     }
-}
-
-void
-Simulator::seqLogCommit(unsigned core, unsigned shard)
-{
-    const std::uint64_t bit = std::uint64_t{1} << shard;
-    if (seqLoggedMask & bit)
-        return;
-    seqLoggedMask |= bit;
-    stepLog->shards[shard].emplace_back(core, seqLogKey);
-}
-
-unsigned
-Simulator::resolveStepThreads(const RunPlan &plan)
-{
-    unsigned t = plan.stepThreads;
-    if (t == 0) {
-        if (const char *env = std::getenv("ATHENA_STEP_THREADS")) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0')
-                t = static_cast<unsigned>(v);
-        }
-    }
-    if (t == 0) {
-        t = std::thread::hardware_concurrency();
-        if (t == 0)
-            t = 1;
-    }
-    return t;
-}
-
-bool
-Simulator::useParallelEngine(const RunPlan &plan) const
-{
-    if (cfg.cores < 2)
-        return false;
-    // Never stack per-core stepping threads on top of a fleet of
-    // concurrent simulations (ExperimentRunner::parallelFor): the
-    // fleet already owns the host's parallelism, and a nested
-    // ThreadPool::run would execute inline-serially and leave the
-    // stepping cores parked forever.
-    if (ThreadPool::onWorkerThread() || ThreadPool::inPooledRun())
-        return false;
-    return resolveStepThreads(plan) >= cfg.cores;
-}
-
-void
-Simulator::runMultiParallel(std::uint64_t total_per_core,
-                            std::uint64_t warmup_per_core)
-{
-    ParallelStepper stepper(cfg.cores, totalShards(), stepLog);
-    par = &stepper;
-
-    auto worker = [&](std::size_t idx) {
-        const unsigned c = static_cast<unsigned>(idx);
-        CoreCtx &cc = *coreCtxs[c];
-        CoreModel &core = *cc.core;
-        while (!core.finished() &&
-               core.retired() < total_per_core) {
-            // The bound publication is simultaneously this step's
-            // park key, the other cores' lookahead heartbeat, and
-            // the previous step's grant release.
-            stepper.beginStep(c, core.now());
-            core.step();
-            checkWarmup(c, warmup_per_core);
-        }
-        stepper.finish(c);
-    };
-
-    // Vehicle: the persistent pool when it is wide enough for
-    // thread-per-core stepping (its workers plus this thread),
-    // dedicated threads otherwise — parked cores only spin/yield,
-    // so correctness never depends on the host actually having
-    // cores many hardware threads.
-    ThreadPool &pool = ThreadPool::instance();
-    if (pool.workerCount() + 1 >= cfg.cores) {
-        pool.run(cfg.cores, worker);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(cfg.cores - 1);
-        for (unsigned c = 1; c < cfg.cores; ++c)
-            threads.emplace_back(worker, c);
-        worker(0);
-        for (auto &t : threads)
-            t.join();
-    }
-    par = nullptr;
 }
 
 namespace

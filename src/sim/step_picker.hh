@@ -63,14 +63,43 @@ class StepPicker
         siftDown(pos[idx]);
     }
 
+    /** A (cycle, core index) scheduling key. */
+    struct Key
+    {
+        Cycle cycle;
+        unsigned core;
+    };
+
+    /**
+     * The least key among the cores other than top(). By the heap
+     * property it is the lexicographic minimum of the root's two
+     * children, so this is at most one compare. With a single live
+     * core there is no runner-up and the result is {max cycle, max
+     * index}, which every real key orders below. This is the burst
+     * limit: the top core keeps being picked exactly while its
+     * (frontier, index) key stays below it.
+     *
+     * @pre !empty()
+     */
+    Key
+    runnerUp() const
+    {
+        assert(!heap.empty());
+        const unsigned n = static_cast<unsigned>(heap.size());
+        if (n < 2)
+            return {~Cycle{0}, ~0u};
+        unsigned m = heap[1];
+        if (n > 2 && less(heap[2], m))
+            m = heap[2];
+        return {key[m], m};
+    }
+
     /**
      * Would the current top core @p idx still be picked next if its
-     * frontier advanced to @p now? By the heap property the minimum
-     * of the *other* cores is one of the root's two children, so
-     * this is two lexicographic compares — the batch-boundary test
-     * that lets the scheduler step the same core repeatedly without
-     * a sift per instruction. The stepping order it produces is
-     * exactly the one advance()+top() per instruction would.
+     * frontier advanced to @p now? True exactly when (now, idx)
+     * orders below runnerUp(), so the scheduler can keep stepping
+     * the same core without a sift; the stepping order it produces
+     * is exactly the one advance()+top() per instruction would.
      *
      * @pre idx is the current top() (its stored key may be stale;
      *      only @p now is compared).
@@ -79,16 +108,8 @@ class StepPicker
     stillTop(unsigned idx, Cycle now) const
     {
         assert(!heap.empty() && heap.front() == idx);
-        const unsigned n = static_cast<unsigned>(heap.size());
-        for (unsigned c = 1; c <= 2; ++c) {
-            if (c >= n)
-                break;
-            unsigned other = heap[c];
-            if (key[other] < now ||
-                (key[other] == now && other < idx))
-                return false;
-        }
-        return true;
+        const Key r = runnerUp();
+        return now != r.cycle ? now < r.cycle : idx < r.core;
     }
 
     /** Remove a finished core from the pick set. */

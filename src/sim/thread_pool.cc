@@ -28,12 +28,6 @@ ThreadPool::onWorkerThread()
     return tls_on_worker;
 }
 
-bool
-ThreadPool::inPooledRun()
-{
-    return tls_in_run;
-}
-
 ThreadPool &
 ThreadPool::instance()
 {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hh"
+#include "sim/system_config.hh"
 #include "trace/workload.hh"
 #include "trace/zoo.hh"
 
@@ -52,6 +53,15 @@ stridedMix(unsigned n)
     for (unsigned i = 0; i < n; ++i)
         mix.push_back(workloads[(i * workloads.size()) / n]);
     return mix;
+}
+
+/** One straight-through run of @p specs on @p cfg. */
+inline SimResult
+runMix(const SystemConfig &cfg, const std::vector<WorkloadSpec> &specs,
+       std::uint64_t measured, std::uint64_t warmup)
+{
+    Simulator sim(cfg, specs);
+    return sim.run({measured, warmup});
 }
 
 inline void

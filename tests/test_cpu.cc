@@ -2,7 +2,8 @@
  * @file
  * Core timing model tests: branch predictor learning, dispatch
  * width, ROB occupancy stalls, load-dependency serialization,
- * critical-consumer stalls, and MSHR-bounded MLP.
+ * critical-consumer stalls, MSHR-bounded MLP, and the equivalence of
+ * the step()/stepN()/stepBelow() stepping APIs.
  */
 
 #include <algorithm>
@@ -599,6 +600,147 @@ TEST(CoreModel, StepNMatchesStepExactly)
     EXPECT_EQ(a.counters().branchMispredicts,
               b.counters().branchMispredicts);
     EXPECT_EQ(m1.signature, m2.signature);
+}
+
+/** RandomKindWorkload that ends after @p limit records. */
+class FiniteRandomWorkload : public RandomKindWorkload
+{
+  public:
+    FiniteRandomWorkload(std::uint64_t seed, std::uint64_t limit)
+        : RandomKindWorkload(seed), limit(limit)
+    {}
+
+    std::size_t
+    nextBatch(TraceRecord *out, std::size_t n) override
+    {
+        std::size_t k = 0;
+        for (; k < n && produced < limit; ++k, ++produced)
+            out[k] = next();
+        return k;
+    }
+
+  private:
+    std::uint64_t limit;
+    std::uint64_t produced = 0;
+};
+
+/** Same machine state: frontier, every counter, memory calls. */
+void
+expectSameCore(const CoreModel &a, const CoreModel &b,
+               const HashLatencyMemory &ma,
+               const HashLatencyMemory &mb, const char *ctx)
+{
+    EXPECT_EQ(a.now(), b.now()) << ctx;
+    EXPECT_EQ(a.retired(), b.retired()) << ctx;
+    EXPECT_EQ(a.counters().loads, b.counters().loads) << ctx;
+    EXPECT_EQ(a.counters().stores, b.counters().stores) << ctx;
+    EXPECT_EQ(a.counters().branches, b.counters().branches) << ctx;
+    EXPECT_EQ(a.counters().branchMispredicts,
+              b.counters().branchMispredicts)
+        << ctx;
+    EXPECT_EQ(a.finished(), b.finished()) << ctx;
+    EXPECT_EQ(ma.signature, mb.signature) << ctx;
+}
+
+TEST(CoreModel, StepBelowMatchesStepCalls)
+{
+    // Random bursts (lengths crossing the 256-record refill, random
+    // limits and tie directions) against a step()-driven twin: a
+    // burst of k must equal k step() calls, each of which started
+    // below the limit, and a short burst must stop exactly at the
+    // first frontier that no longer orders below it.
+    CoreParams params;
+    params.robSize = 48;
+    params.l1Mshrs = 4;
+    RandomKindWorkload w1(11), w2(11);
+    HashLatencyMemory m1, m2;
+    CoreModel ref(params, w1, m1);
+    CoreModel burst(params, w2, m2);
+    Rng rng(5);
+    for (int round = 0; round < 400; ++round) {
+        const std::uint64_t n = 1 + rng.below(700);
+        const Cycle limit = burst.now() + rng.below(3000);
+        const bool tie = rng.chance(0.5);
+        const std::uint64_t k = burst.stepBelow(n, limit, tie);
+        ASSERT_LE(k, n);
+        for (std::uint64_t i = 0; i < k; ++i) {
+            ASSERT_TRUE(ref.now() < limit ||
+                        (tie && ref.now() == limit))
+                << "round " << round << " instr " << i;
+            ref.step();
+        }
+        if (k < n) {
+            ASSERT_FALSE(burst.now() < limit ||
+                         (tie && burst.now() == limit))
+                << "round " << round << ": burst stopped early";
+        }
+        expectSameCore(ref, burst, m1, m2, "random bursts");
+    }
+}
+
+TEST(CoreModel, StepBelowCrossesRefill)
+{
+    RandomKindWorkload w1(3), w2(3);
+    HashLatencyMemory m1, m2;
+    CoreModel ref(CoreParams{}, w1, m1);
+    CoreModel burst(CoreParams{}, w2, m2);
+    ASSERT_EQ(burst.stepBelow(300, ~Cycle{0}, true), 300u);
+    for (int i = 0; i < 300; ++i)
+        ref.step();
+    expectSameCore(ref, burst, m1, m2, "refill");
+    EXPECT_EQ(burst.refillSequence(), 2u);
+}
+
+TEST(CoreModel, StepBelowLimitOnFirstInstruction)
+{
+    // A fresh core sits at frontier 0. Against limit cycle 0 it
+    // orders below only when ties continue; its first ALU completes
+    // at cycle 1, past the limit, so exactly one instruction runs.
+    ScriptedWorkload w({alu()});
+    FixedLatencyMemory mem(10);
+    CoreModel core(CoreParams{}, w, mem);
+    EXPECT_EQ(core.stepBelow(100, 0, false), 0u);
+    EXPECT_EQ(core.retired(), 0u);
+    EXPECT_EQ(core.stepBelow(100, 0, true), 1u);
+    EXPECT_EQ(core.retired(), 1u);
+    EXPECT_EQ(core.now(), 1u);
+}
+
+TEST(CoreModel, StepBelowTieDirections)
+{
+    // Six-wide dispatch of 1-cycle ALUs: instructions 1-6 complete
+    // at cycle 1, 7-12 at cycle 2, 13-18 at cycle 3. Against limit
+    // cycle 2 a core that loses the tie stops at the first frontier
+    // equal to 2 (instruction 7); one that wins it runs on through
+    // frontier 2 and stops when it reaches 3 (instruction 13).
+    ScriptedWorkload wa({alu()}), wb({alu()});
+    FixedLatencyMemory ma(10), mb(10);
+    CoreModel loses(CoreParams{}, wa, ma);
+    CoreModel wins(CoreParams{}, wb, mb);
+    EXPECT_EQ(loses.stepBelow(100, 2, false), 7u);
+    EXPECT_EQ(loses.now(), 2u);
+    EXPECT_EQ(wins.stepBelow(100, 2, true), 13u);
+    EXPECT_EQ(wins.now(), 3u);
+}
+
+TEST(CoreModel, StepBelowShortAtEndOfStream)
+{
+    // 300 records end mid-buffer; 512 end exactly at a buffer
+    // boundary, where only the failed refill reveals the end. Both
+    // report the short count, land in finished(), and match the
+    // step()-driven twin; further bursts are no-ops.
+    for (std::uint64_t len : {300u, 512u}) {
+        FiniteRandomWorkload w1(9, len), w2(9, len);
+        HashLatencyMemory m1, m2;
+        CoreModel ref(CoreParams{}, w1, m1);
+        CoreModel burst(CoreParams{}, w2, m2);
+        EXPECT_EQ(burst.stepBelow(1000, ~Cycle{0}, true), len);
+        EXPECT_TRUE(burst.finished()) << "len " << len;
+        for (int i = 0; i < 1000; ++i)
+            ref.step();
+        expectSameCore(ref, burst, m1, m2, "end of stream");
+        EXPECT_EQ(burst.stepBelow(10, ~Cycle{0}, true), 0u);
+    }
 }
 
 TEST(CoreModel, MshrExactlyFullStallSchedule)

@@ -41,15 +41,8 @@ using testutil::checkPin;
 using testutil::dataPath;
 using testutil::pickWorkload;
 using testutil::ResultPin;
+using testutil::runMix;
 using testutil::stridedMix;
-
-SimResult
-runMix(const SystemConfig &cfg, const std::vector<WorkloadSpec> &specs,
-       std::uint64_t measured, std::uint64_t warmup)
-{
-    Simulator sim(cfg, specs);
-    return sim.run({measured, warmup});
-}
 
 SystemConfig
 cd1Athena(unsigned cores)

@@ -48,20 +48,13 @@ namespace
 using testutil::checkPin;
 using testutil::expectResultsIdentical;
 using testutil::ResultPin;
+using testutil::runMix;
 using testutil::stridedMix;
 
 std::string
 tmpPath(const std::string &name)
 {
     return testing::TempDir() + "shardord_" + name + ".asnp";
-}
-
-SimResult
-runMix(const SystemConfig &cfg, const std::vector<WorkloadSpec> &specs,
-       std::uint64_t measured, std::uint64_t warmup)
-{
-    Simulator sim(cfg, specs);
-    return sim.run({measured, warmup});
 }
 
 /** CD1 Athena on @p cores cores with the given shard geometry. */

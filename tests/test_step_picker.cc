@@ -1,9 +1,10 @@
 /**
  * @file
  * StepPicker tests: min-heap correctness against a reference scan,
- * deterministic lowest-index-first tie-breaking, and the bounded-
- * skew invariant of loose synchronization (the picked core is never
- * ahead of any other unfinished core).
+ * deterministic lowest-index-first tie-breaking, the runner-up key
+ * that bounds each stepping burst, and the bounded-skew invariant of
+ * loose synchronization (the picked core is never ahead of any other
+ * unfinished core).
  */
 
 #include <cstdint>
@@ -68,8 +69,8 @@ TEST(StepPicker, FinishRemovesCore)
 TEST(StepPicker, MatchesReferenceScanUnderRandomAdvances)
 {
     // Drive the heap with random monotone advances and check every
-    // pick against an O(n) reference scan with the same
-    // lowest-index tie-break.
+    // pick and runner-up against an O(n) reference scan with the
+    // same lowest-index tie-break.
     const unsigned kCores = 6;
     StepPicker picker(kCores);
     std::vector<Cycle> now(kCores, 0);
@@ -78,14 +79,25 @@ TEST(StepPicker, MatchesReferenceScanUnderRandomAdvances)
     Rng rng(123);
 
     while (remaining > 0) {
-        unsigned expect = kCores;
+        unsigned expect = kCores, second = kCores;
         for (unsigned c = 0; c < kCores; ++c) {
             if (done[c])
                 continue;
-            if (expect == kCores || now[c] < now[expect])
+            if (expect == kCores || now[c] < now[expect]) {
+                second = expect;
                 expect = c;
+            } else if (second == kCores || now[c] < now[second]) {
+                second = c;
+            }
         }
         ASSERT_EQ(picker.top(), expect);
+        const StepPicker::Key ru = picker.runnerUp();
+        if (second == kCores) {
+            ASSERT_EQ(ru.core, ~0u);
+        } else {
+            ASSERT_EQ(ru.core, second);
+            ASSERT_EQ(ru.cycle, now[second]);
+        }
 
         // The bounded-skew invariant: the picked core is the least
         // advanced, so stepping it can never widen the spread
@@ -106,6 +118,70 @@ TEST(StepPicker, MatchesReferenceScanUnderRandomAdvances)
         }
     }
     EXPECT_TRUE(picker.empty());
+}
+
+TEST(StepPicker, RunnerUpWithOneLiveCore)
+{
+    // No other live core: the sentinel key every real key orders
+    // below, so a burst on the last core is bounded only by its
+    // budget.
+    StepPicker one(1);
+    one.advance(0, 123);
+    EXPECT_EQ(one.runnerUp().cycle, ~Cycle{0});
+    EXPECT_EQ(one.runnerUp().core, ~0u);
+    EXPECT_TRUE(one.stillTop(0, ~Cycle{0}));
+}
+
+TEST(StepPicker, RunnerUpWithTwoCores)
+{
+    StepPicker picker(2);
+    picker.advance(0, 9);
+    picker.advance(1, 4);
+    ASSERT_EQ(picker.top(), 1u);
+    EXPECT_EQ(picker.runnerUp().cycle, 9u);
+    EXPECT_EQ(picker.runnerUp().core, 0u);
+    // Tie at the runner-up's cycle: core 1 loses to core 0.
+    EXPECT_TRUE(picker.stillTop(1, 8));
+    EXPECT_FALSE(picker.stillTop(1, 9));
+}
+
+TEST(StepPicker, RunnerUpBreaksTiesByIndex)
+{
+    // All cores tied: top is core 0, runner-up core 1. With the
+    // root's two children tied, the lower index wins.
+    StepPicker picker(5);
+    EXPECT_EQ(picker.top(), 0u);
+    EXPECT_EQ(picker.runnerUp().cycle, 0u);
+    EXPECT_EQ(picker.runnerUp().core, 1u);
+    picker.advance(0, 7);
+    picker.advance(1, 7);
+    picker.advance(2, 3);
+    picker.advance(3, 7);
+    picker.advance(4, 7);
+    ASSERT_EQ(picker.top(), 2u);
+    EXPECT_EQ(picker.runnerUp().cycle, 7u);
+    EXPECT_EQ(picker.runnerUp().core, 0u);
+    // At cycle 7 core 2 would tie with core 0 and lose the tie.
+    EXPECT_TRUE(picker.stillTop(2, 6));
+    EXPECT_FALSE(picker.stillTop(2, 7));
+}
+
+TEST(StepPicker, RunnerUpAfterFinish)
+{
+    StepPicker picker(4);
+    picker.advance(0, 10);
+    picker.advance(1, 20);
+    picker.advance(2, 30);
+    picker.advance(3, 40);
+    EXPECT_EQ(picker.runnerUp().core, 1u);
+    picker.finish(0);
+    ASSERT_EQ(picker.top(), 1u);
+    EXPECT_EQ(picker.runnerUp().core, 2u);
+    EXPECT_EQ(picker.runnerUp().cycle, 30u);
+    picker.finish(2); // a non-top core leaves
+    EXPECT_EQ(picker.runnerUp().core, 3u);
+    picker.finish(3);
+    EXPECT_EQ(picker.runnerUp().core, ~0u);
 }
 
 TEST(StepPicker, SkewStaysBoundedByMaxSingleAdvance)
